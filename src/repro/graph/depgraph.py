@@ -41,7 +41,8 @@ class DependenceGraphBuilder:
         current_writer: Dict[str, int] = {}
         for idx, instr in enumerate(block):
             edges = self.db.dep_latencies(instr)
-            consumed_roots = {src.name for src, _dst, _lat in edges}
+            consumed_roots = list(dict.fromkeys(
+                src.name for src, _dst, _lat in edges))
             for root in consumed_roots:
                 producer = current_writer.get(root)
                 count = 0
