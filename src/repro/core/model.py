@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.core.components import (
     Component,
@@ -122,7 +122,10 @@ def _combine(bounds: Dict[Component, Fraction], mode: ThroughputMode,
     else:
         fe = None
         if jcc_affected:
-            fe_set = {Component.PREDEC, Component.DEC} & enabled
+            # Declaration order, so a tie between the Predec and Dec
+            # bounds reports Predec (max keeps the first maximum).
+            fe_set = [comp for comp in (Component.PREDEC, Component.DEC)
+                      if comp in enabled]
             if fe_set:
                 fe = max(fe_set, key=lambda c: bounds[c])
         elif lsd_applicable and Component.LSD in enabled:
@@ -132,7 +135,7 @@ def _combine(bounds: Dict[Component, Fraction], mode: ThroughputMode,
         if fe is not None:
             candidates[fe] = bounds[fe]
             if jcc_affected:
-                for comp in ({Component.PREDEC, Component.DEC} & enabled):
+                for comp in fe_set:
                     candidates[comp] = bounds[comp]
         for comp in (Component.ISSUE, Component.PORTS,
                      Component.PRECEDENCE):

@@ -1,20 +1,21 @@
 """The precedence-constraint bound (paper §4.9).
 
-Builds the weighted dependence graph of the block and computes the
+Assembles the weighted dependence graph of the block and computes the
 maximum cycle ratio — the recurrence-constrained minimum initiation
-interval, in modulo-scheduling terms — with Howard's algorithm, falling
-back to Lawler's parametric search in the (never observed) event that
-policy iteration fails to converge.
+interval, in modulo-scheduling terms — with Howard's policy iteration in
+integer arithmetic.  Lawler's parametric search is kept only as the
+reference of :func:`precedence_bound_lawler` (tests and the ablation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Sequence
 
-from repro.graph.depgraph import DependenceGraphBuilder
-from repro.graph.howard import howard_max_cycle_ratio
+from repro.graph.depgraph import DepForm, DependenceGraphBuilder, \
+    assemble, dep_form
+from repro.graph.howard import max_cycle_ratio
 from repro.graph.lawler import lawler_max_cycle_ratio
 from repro.isa.block import BasicBlock
 from repro.uops.database import UopsDatabase
@@ -37,12 +38,18 @@ class PrecedenceResult:
 def precedence_bound(block: BasicBlock,
                      db: UopsDatabase) -> PrecedenceResult:
     """The Precedence throughput bound of *block*."""
-    builder = DependenceGraphBuilder(db)
-    graph = builder.build(block)
-    ratio, cycle = howard_max_cycle_ratio(graph)
-    if ratio is None:
+    return precedence_of_forms([dep_form(instr, db) for instr in block])
+
+
+def precedence_of_forms(forms: Sequence[DepForm]) -> PrecedenceResult:
+    """The Precedence bound of a block from its instructions' data."""
+    keys, succ = assemble(forms)
+    result = max_cycle_ratio(succ)
+    if result is None:
         return PrecedenceResult(Fraction(0), [])
-    return PrecedenceResult(ratio, builder.cycle_instructions(cycle))
+    weight, count, cycle = result
+    return PrecedenceResult(Fraction(weight, count),
+                            sorted({keys[node][1] for node, _pos in cycle}))
 
 
 def precedence_bound_lawler(block: BasicBlock,

@@ -25,12 +25,16 @@ signature* instead of once per raw-bytes block:
   with numpy — batched across whole suites in
   :meth:`ColumnarCore.predict_many` via ``np.add.reduceat`` — while the
   irreducibly sequential bounds (Dec's Algorithm 1, the Ports pair-union
-  heuristic, the Precedence max-cycle-ratio) run the *reference*
-  component implementations once per entry on a representative block,
-  which is what makes the core bit-for-bit equal to
-  :class:`~repro.core.model.Facile` by construction.  Ports results
-  additionally flow through the shared global multiset memo
-  (:func:`repro.core.ports.ports_bound_counts`).
+  heuristic) run the *reference* component implementations once per
+  entry on a representative block, which is what makes the core
+  bit-for-bit equal to :class:`~repro.core.model.Facile` by
+  construction.  Ports results additionally flow through the shared
+  global multiset memo (:func:`repro.core.ports.ports_bound_counts`).
+* Precedence uses **per-form tables**: each core keeps every signature
+  component's dependence data (:func:`repro.graph.depgraph.dep_form`),
+  so a cold signature's graph is assembled from tuples and solved by
+  :func:`repro.core.precedence.precedence_of_forms`.  The tables are
+  per core (per µarch), because latencies differ between µarchs.
 
 Exactness argument, in one paragraph: the form bytes determine the
 template, every register operand (ModRM/SIB/REX/VEX.vvvv/and
@@ -40,8 +44,8 @@ per-instruction variation left, and the model reads them in exactly one
 place — ``disp != 0`` in the µop database's memory-component count (and
 the ``[disp32]``-with-no-base validity check).  Hence a representative
 instruction with the same ``(form, disp==0)`` signature yields an
-identical analysis, and every component bound computed from it equals
-the reference value.  The differential harness
+identical analysis (dependence data included), and every component
+bound computed from it equals the reference value.  The differential harness
 (``tests/engine/test_columnar_equiv.py``) enforces this on every
 generator category, every µarch, and every mode, plus seeded fuzz.
 
@@ -84,7 +88,8 @@ from repro.core.lsd import lsd_unroll_count
 from repro.core.model import Prediction, _combine, _critical_indices
 from repro.core.ports import PortsResult, critical_instructions, \
     ports_bound_counts
-from repro.core.precedence import PrecedenceResult, precedence_bound
+from repro.core.precedence import PrecedenceResult, precedence_of_forms
+from repro.graph.depgraph import DepForm, dep_form
 from repro.isa.block import BasicBlock
 from repro.isa.decoder import decode
 from repro.isa.instruction import Instruction
@@ -377,7 +382,7 @@ class _BlockEntry:
 
     __slots__ = ("sig", "block", "analyzed", "ops", "lengths",
                  "opcode_offsets", "lcp_mask", "num_bytes", "fused_col",
-                 "issued_col", "n_fused", "n_issued", "port_counts",
+                 "issued_col", "n_fused", "n_issued",
                  "dec", "ports", "ports_critical", "precedence", "jcc",
                  "predec", "protos", "error")
 
@@ -388,7 +393,6 @@ class _BlockEntry:
         self.ops = None
         self.n_fused: Optional[int] = None
         self.n_issued: Optional[int] = None
-        self.port_counts: Optional[Counter] = None
         self.dec: Optional[Fraction] = None
         self.ports: Optional[PortsResult] = None
         self.ports_critical: Optional[List[int]] = None
@@ -435,7 +439,8 @@ class ColumnarCore:
     so every engine configuration can route through it.  Entries are
     held per core instance (one core serves one µarch + variant) in an
     LRU of *max_entries*; the form trie and representative-instruction
-    table are shared process-wide.
+    table are shared process-wide; the per-form dependence table is
+    per core.
 
     Attributes:
         raw_hits / sig_hits / misses: lookup counters — a ``sig_hit``
@@ -462,6 +467,8 @@ class ColumnarCore:
         self.max_entries = max_entries
         self._entries: "OrderedDict[Signature, _BlockEntry]" = OrderedDict()
         self._by_raw: "OrderedDict[bytes, _BlockEntry]" = OrderedDict()
+        #: Per-form dependence data on this core's µarch.
+        self._dep_forms: Dict[_SigItem, DepForm] = {}
         self.raw_hits = 0
         self.sig_hits = 0
         self.misses = 0
@@ -634,13 +641,8 @@ class ColumnarCore:
 
     def _ports_result(self, entry: _BlockEntry) -> PortsResult:
         if entry.ports is None:
-            if entry.port_counts is None:
-                counts: Counter = Counter()
-                for op in entry.ops:
-                    for ports in op.info.port_sets:
-                        counts[ports] += 1
-                entry.port_counts = counts
-            entry.ports = ports_bound_counts(entry.port_counts)
+            entry.ports = ports_bound_counts(Counter(
+                ports for op in entry.ops for ports in op.info.port_sets))
         return entry.ports
 
     def _ports_critical(self, entry: _BlockEntry) -> List[int]:
@@ -651,7 +653,14 @@ class ColumnarCore:
 
     def _precedence_result(self, entry: _BlockEntry) -> PrecedenceResult:
         if entry.precedence is None:
-            entry.precedence = precedence_bound(entry.block, self.db)
+            table = self._dep_forms
+            forms = []
+            for item, instr in zip(entry.sig, entry.block):
+                form = table.get(item)
+                if form is None:
+                    form = table[item] = dep_form(instr, self.db)
+                forms.append(form)
+            entry.precedence = precedence_of_forms(forms)
         return entry.precedence
 
     def _jcc_affected(self, entry: _BlockEntry) -> bool:

@@ -8,7 +8,7 @@ cycle ratio (MCR).
 Two MCR algorithms are provided:
 
 * :func:`~repro.graph.howard.howard_max_cycle_ratio` — Howard's policy
-  iteration (the algorithm the paper uses), exact rational arithmetic.
+  iteration (the algorithm the paper uses), exact integer arithmetic.
 * :func:`~repro.graph.lawler.lawler_max_cycle_ratio` — Lawler's binary
   search with Bellman-Ford feasibility checks, used as a reference
   implementation and for the MCR ablation bench.

@@ -7,9 +7,9 @@ where it provides ground truth for Howard's and Lawler's algorithms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, List, Optional, Set
+from typing import Hashable, Optional, Set
 
-from repro.graph.core import Edge, RatioGraph
+from repro.graph.core import RatioGraph
 
 
 def bruteforce_max_cycle_ratio(graph: RatioGraph) -> Optional[Fraction]:

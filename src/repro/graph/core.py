@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+
+#: An int-indexed adjacency: ``succ[u]`` lists ``(v, weight, count)``.
+Adjacency = Sequence[Sequence[Tuple[int, int, int]]]
 
 
 @dataclass(frozen=True)
@@ -59,66 +62,63 @@ class RatioGraph:
         for edges in self._succ.values():
             yield from edges
 
-    def subgraph(self, nodes: Iterable[Hashable]) -> "RatioGraph":
-        """The induced subgraph on *nodes*."""
-        node_set = set(nodes)
-        sub = RatioGraph()
-        for node in node_set:
-            sub.add_node(node)
-            for edge in self._succ.get(node, ()):
-                if edge.dst in node_set:
-                    sub.add_edge(edge.src, edge.dst, edge.weight, edge.count)
-        return sub
+    def indexed(self) -> Tuple[List[Hashable], Adjacency]:
+        """Node keys in insertion order, and the :data:`Adjacency` over
+        their indices (edges in insertion order)."""
+        keys = list(self._succ)
+        ids = {key: i for i, key in enumerate(keys)}
+        succ = [[(ids[e.dst], e.weight, e.count) for e in self._succ[key]]
+                for key in keys]
+        return keys, succ
 
     def strongly_connected_components(self) -> List[List[Hashable]]:
-        """Tarjan's algorithm, iterative to avoid recursion limits."""
-        index: Dict[Hashable, int] = {}
-        lowlink: Dict[Hashable, int] = {}
-        on_stack: Dict[Hashable, bool] = {}
-        stack: List[Hashable] = []
-        components: List[List[Hashable]] = []
-        counter = 0
-
-        for root in self._succ:
-            if root in index:
-                continue
-            work = [(root, iter(self._succ[root]))]
-            index[root] = lowlink[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
-            while work:
-                node, edge_iter = work[-1]
-                advanced = False
-                for edge in edge_iter:
-                    succ = edge.dst
-                    if succ not in index:
-                        index[succ] = lowlink[succ] = counter
-                        counter += 1
-                        stack.append(succ)
-                        on_stack[succ] = True
-                        work.append((succ, iter(self._succ[succ])))
-                        advanced = True
-                        break
-                    if on_stack.get(succ):
-                        lowlink[node] = min(lowlink[node], index[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack[member] = False
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(component)
-        return components
+        keys, succ = self.indexed()
+        return [[keys[u] for u in component]
+                for component in strongly_connected_components(succ)]
 
     def __repr__(self) -> str:
         return (f"<RatioGraph {self.num_nodes} nodes, "
                 f"{self.num_edges} edges>")
+
+
+def strongly_connected_components(succ: Adjacency) -> List[List[int]]:
+    """Tarjan's algorithm, iterative to avoid recursion limits.  Roots
+    are tried in index order and successors in edge order."""
+    index = [-1] * len(succ)
+    lowlink = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: List[int] = []
+    components: List[List[int]] = []
+    counter = 0
+    for root in range(len(succ)):
+        if index[root] >= 0:
+            continue
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, edge_iter = work[-1]
+            for dst, _weight, _count in edge_iter:
+                if index[dst] < 0:
+                    index[dst] = lowlink[dst] = counter
+                    counter += 1
+                    stack.append(dst)
+                    on_stack[dst] = True
+                    work.append((dst, iter(succ[dst])))
+                    break
+                if on_stack[dst] and index[dst] < lowlink[node]:
+                    lowlink[node] = index[dst]
+            else:
+                work.pop()
+                if work and lowlink[node] < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = lowlink[node]
+                if lowlink[node] == index[node]:
+                    cut = stack.index(node)
+                    component = stack[cut:][::-1]
+                    del stack[cut:]
+                    for member in component:
+                        on_stack[member] = False
+                    components.append(component)
+    return components

@@ -6,128 +6,130 @@ are improved first on *gain* (the cycle ratio a node's policy path reaches)
 and then on *bias* (the relative value), which handles policy graphs whose
 functional structure contains several cycles.
 
-All arithmetic is exact (``fractions.Fraction``), so results are exact
-rationals and policy iteration terminates.
+All arithmetic is on integers: a gain is the pair ``(W, C)`` of total
+weight and iteration count of the policy cycle a node reaches, a bias is
+stored scaled by its gain's ``C``, and both are compared by
+cross-multiplication.  Results are exact rationals, and policy iteration
+terminates.  :func:`max_cycle_ratio` runs on an int-indexed adjacency;
+:func:`howard_max_cycle_ratio` is the :class:`RatioGraph` front end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.graph.core import Edge, RatioGraph
-
-
-class _SccState:
-    """Policy-iteration state for one strongly connected subgraph."""
-
-    def __init__(self, graph: RatioGraph, nodes: List[Hashable]):
-        self.graph = graph
-        self.nodes = nodes
-        self.policy: Dict[Hashable, Edge] = {
-            u: graph.out_edges(u)[0] for u in nodes}
-        self.gain: Dict[Hashable, Fraction] = {}
-        self.bias: Dict[Hashable, Fraction] = {}
-        self.critical_cycle: List[Edge] = []
-
-    # -- policy evaluation ------------------------------------------------
-
-    def evaluate(self) -> None:
-        """Compute per-node gain and bias under the current policy."""
-        self.gain.clear()
-        self.bias.clear()
-        best_ratio: Optional[Fraction] = None
-
-        # Find the cycle of each functional component and the ratio of it.
-        color: Dict[Hashable, int] = {}  # 0 in-progress, 1 done
-        for start in self.nodes:
-            if start in color:
-                continue
-            path: List[Hashable] = []
-            node = start
-            while node not in color:
-                color[node] = 0
-                path.append(node)
-                node = self.policy[node].dst
-            if color[node] == 0:
-                # Found a new cycle; `node` is on it.
-                cycle_start = path.index(node)
-                cycle = path[cycle_start:]
-                ratio = self._cycle_ratio(cycle)
-                self._set_cycle_values(cycle, ratio)
-                if best_ratio is None or ratio > best_ratio:
-                    best_ratio = ratio
-                    self.critical_cycle = [self.policy[u] for u in cycle]
-            # Back-substitute values for the tail of the path.
-            for u in reversed(path):
-                if u in self.gain:
-                    continue
-                edge = self.policy[u]
-                ratio = self.gain[edge.dst]
-                self.gain[u] = ratio
-                self.bias[u] = (edge.weight - ratio * edge.count
-                                + self.bias[edge.dst])
-            for u in path:
-                color[u] = 1
-
-    def _cycle_ratio(self, cycle: List[Hashable]) -> Fraction:
-        total_weight = 0
-        total_count = 0
-        for u in cycle:
-            edge = self.policy[u]
-            total_weight += edge.weight
-            total_count += edge.count
-        if total_count == 0:
-            raise ZeroIterationCycle(
-                "policy cycle with zero iteration count; the dependence "
-                "graph must not contain intra-iteration cycles")
-        return Fraction(total_weight, total_count)
-
-    def _set_cycle_values(self, cycle: List[Hashable],
-                          ratio: Fraction) -> None:
-        handle = cycle[0]
-        self.gain[handle] = ratio
-        self.bias[handle] = Fraction(0)
-        # Walk the cycle backwards so each node's successor value is known.
-        for u in reversed(cycle[1:]):
-            edge = self.policy[u]
-            self.gain[u] = ratio
-            self.bias[u] = (edge.weight - ratio * edge.count
-                            + self.bias[edge.dst])
-
-    # -- policy improvement -----------------------------------------------
-
-    def improve(self) -> bool:
-        """One improvement sweep; returns True when the policy changed."""
-        changed = False
-        for u in self.nodes:
-            current_edge = self.policy[u]
-            best_gain = self.gain[u]
-            best_bias = self.bias[u]
-            best_edge = None
-            for edge in self.graph.out_edges(u):
-                g = self.gain[edge.dst]
-                if g < best_gain:
-                    continue
-                b = edge.weight - g * edge.count + self.bias[edge.dst]
-                if g > best_gain or b > best_bias:
-                    best_gain, best_bias, best_edge = g, b, edge
-            if best_edge is not None and best_edge is not current_edge:
-                self.policy[u] = best_edge
-                changed = True
-        return changed
-
-    def solve(self) -> Tuple[Fraction, List[Edge]]:
-        while True:
-            self.evaluate()
-            if not self.improve():
-                break
-        best = max(self.gain[u] for u in self.nodes)
-        return best, self.critical_cycle
-
+from repro.graph.core import (
+    Adjacency,
+    Edge,
+    RatioGraph,
+    strongly_connected_components,
+)
 
 class ZeroIterationCycle(Exception):
     """Raised for cycles whose iteration count sums to zero."""
+
+
+def _solve_scc(out: Sequence[Sequence[Tuple[int, int, int, int]]],
+               ) -> Tuple[int, int, List[int], List[int]]:
+    """Policy iteration on one strongly connected component.
+
+    ``out[i]`` lists node *i*'s ``(j, weight, count, position)`` edges
+    within the component.  Returns ``(W, C, cycle, policy)``: the
+    maximum ratio ``W / C``, the local nodes of a critical cycle and the
+    final policy (an index into ``out[i]``).  The policy starts at each
+    node's first edge and only a strictly better edge replaces it, which
+    decides which of several critical cycles is reported.
+    """
+    m = len(out)
+    policy = [0] * m
+    while True:
+        # -- policy evaluation: gains (W, C) and C-scaled biases --------
+        gain_w = [0] * m
+        gain_c = [0] * m  # 0 marks "not yet evaluated" (cycles have C > 0)
+        bias = [0] * m
+        state = [0] * m   # 0 unseen, 1 on the current path, 2 done
+        best_w, best_c = 0, 0
+        critical: List[int] = []
+        for start in range(m):
+            if state[start]:
+                continue
+            path = []
+            node = start
+            while not state[node]:
+                state[node] = 1
+                path.append(node)
+                node = out[node][policy[node]][0]
+            if state[node] == 1:
+                # A new policy cycle; `node` is on it.
+                cycle = path[path.index(node):]
+                weight = sum(out[u][policy[u]][1] for u in cycle)
+                count = sum(out[u][policy[u]][2] for u in cycle)
+                if count == 0:
+                    raise ZeroIterationCycle(
+                        "policy cycle with zero iteration count; the graph "
+                        "must not contain intra-iteration cycles")
+                # `node` is the cycle's handle, with bias 0.
+                gain_w[node], gain_c[node] = weight, count
+                if not critical or weight * best_c > best_w * count:
+                    best_w, best_c, critical = weight, count, cycle
+            # Back-substitute values along the path, backwards from the
+            # cycle's handle or from the first already-evaluated node.
+            for u in reversed(path):
+                if gain_c[u]:
+                    continue
+                j, w, c, _pos = out[u][policy[u]]
+                weight, count = gain_w[j], gain_c[j]
+                gain_w[u], gain_c[u] = weight, count
+                bias[u] = w * count - weight * c + bias[j]
+            for u in path:
+                state[u] = 2
+
+        # -- policy improvement: gain first, then bias ------------------
+        changed = False
+        for u in range(m):
+            top_w, top_c, top_b = gain_w[u], gain_c[u], bias[u]
+            top = -1
+            for k, (j, w, c, _pos) in enumerate(out[u]):
+                weight, count = gain_w[j], gain_c[j]
+                lhs = weight * top_c
+                rhs = top_w * count
+                if lhs < rhs:
+                    continue
+                b = w * count - weight * c + bias[j]
+                if lhs > rhs or b * top_c > top_b * count:
+                    top_w, top_c, top_b, top = weight, count, b, k
+            if top >= 0 and top != policy[u]:
+                policy[u] = top
+                changed = True
+        if not changed:
+            return best_w, best_c, critical, policy
+
+
+def max_cycle_ratio(succ: Adjacency,
+                    ) -> Optional[Tuple[int, int, List[Tuple[int, int]]]]:
+    """Maximum cycle ratio of an int-indexed graph.
+
+    Returns ``(W, C, cycle)``: the maximum ratio ``W / C`` and a critical
+    cycle attaining it, as ``(node, edge position)`` pairs; ``None`` for
+    acyclic graphs.  Components are solved in Tarjan order, and a later
+    one only wins when strictly better.  Raises
+    :class:`ZeroIterationCycle` for a policy cycle of count zero.
+    """
+    best: Optional[Tuple[int, int, List[Tuple[int, int]]]] = None
+    for component in strongly_connected_components(succ):
+        if len(component) == 1 and component[0] not in [
+                dst for dst, _w, _c in succ[component[0]]]:
+            continue  # a single node without a self-loop
+        local = {node: i for i, node in enumerate(component)}
+        out = [[(local[dst], w, c, pos)
+                for pos, (dst, w, c) in enumerate(succ[node]) if dst in local]
+               for node in component]
+        weight, count, cycle, policy = _solve_scc(out)
+        if best is None or weight * best[1] > best[0] * count:
+            best = (weight, count,
+                    [(component[i], out[i][policy[i]][3]) for i in cycle])
+    return best
 
 
 def howard_max_cycle_ratio(
@@ -135,24 +137,15 @@ def howard_max_cycle_ratio(
 ) -> Tuple[Optional[Fraction], List[Edge]]:
     """Maximum cycle ratio of *graph* via Howard's policy iteration.
 
-    Returns:
-        (ratio, critical_cycle_edges); (None, []) for acyclic graphs.
-        The critical cycle achieves the maximum ratio and is reported for
-        interpretability (the paper's "dependency chain with the maximal
-        latency").
+    Returns ``(ratio, critical cycle edges)``, or ``(None, [])`` for an
+    acyclic graph.  The critical cycle attains the ratio and is reported
+    for interpretability (the paper's "dependency chain with the maximal
+    latency").
     """
-    best: Optional[Fraction] = None
-    best_cycle: List[Edge] = []
-    for component in graph.strongly_connected_components():
-        if len(component) == 1:
-            node = component[0]
-            if not any(e.dst == node for e in graph.out_edges(node)):
-                continue
-        sub = graph.subgraph(component)
-        # Every node of a cyclic SCC has an out-edge within the SCC except
-        # in trivial single-node cases handled above.
-        ratio, cycle = _SccState(sub, [n for n in component
-                                       if sub.out_edges(n)]).solve()
-        if best is None or ratio > best:
-            best, best_cycle = ratio, cycle
-    return best, best_cycle
+    keys, succ = graph.indexed()
+    result = max_cycle_ratio(succ)
+    if result is None:
+        return None, []
+    weight, count, cycle = result
+    return Fraction(weight, count), [graph.out_edges(keys[node])[pos]
+                                     for node, pos in cycle]

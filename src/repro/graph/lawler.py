@@ -13,38 +13,22 @@ the comparison point of the MCR ablation bench.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from repro.graph.core import Edge, RatioGraph
+from repro.graph.core import RatioGraph
 
 
-def _has_positive_cycle(graph: RatioGraph, lam: Fraction) -> bool:
-    """True iff a cycle with Σw - λ·Σt > 0 exists (exact arithmetic)."""
-    dist = {node: Fraction(0) for node in graph.nodes}
+def _has_positive_cycle(graph: RatioGraph, lam, eps=0) -> bool:
+    """True iff a cycle with Σw - λ·Σt > 0 exists: relaxation still
+    improves a distance after |V| rounds.  Exact for a ``Fraction``
+    *lam*; a float *lam* needs the rounding slack *eps*."""
+    dist = dict.fromkeys(graph.nodes, 0)
     edges = list(graph.edges())
-    for _ in range(graph.num_nodes):
+    for _ in range(graph.num_nodes + 1):
         changed = False
         for edge in edges:
             cand = dist[edge.src] + edge.weight - lam * edge.count
-            if cand > dist[edge.dst]:
-                dist[edge.dst] = cand
-                changed = True
-        if not changed:
-            return False
-    for edge in edges:
-        if dist[edge.src] + edge.weight - lam * edge.count > dist[edge.dst]:
-            return True
-    return False
-
-
-def _has_positive_cycle_float(graph: RatioGraph, lam: float) -> bool:
-    dist = {node: 0.0 for node in graph.nodes}
-    edges = list(graph.edges())
-    for _ in range(graph.num_nodes):
-        changed = False
-        for edge in edges:
-            cand = dist[edge.src] + edge.weight - lam * edge.count
-            if cand > dist[edge.dst] + 1e-12:
+            if cand > dist[edge.dst] + eps:
                 dist[edge.dst] = cand
                 changed = True
         if not changed:
@@ -76,7 +60,7 @@ def lawler_max_cycle_ratio(graph: RatioGraph) -> Optional[Fraction]:
 
     hi = float(total_weight) + 1.0
     lo = -1.0
-    if _has_positive_cycle_float(graph, hi):
+    if _has_positive_cycle(graph, hi, 1e-12):
         raise ValueError("unbounded cycle ratio (zero-count cycle with "
                          "positive weight)")
     # Two distinct achievable ratios differ by at least 1/max_count², so a
@@ -84,7 +68,7 @@ def lawler_max_cycle_ratio(graph: RatioGraph) -> Optional[Fraction]:
     precision = 1.0 / (4.0 * max_count * max_count)
     while hi - lo > precision:
         mid = (lo + hi) / 2.0
-        if _has_positive_cycle_float(graph, mid):
+        if _has_positive_cycle(graph, mid, 1e-12):
             lo = mid
         else:
             hi = mid

@@ -59,6 +59,47 @@ class TestCombination:
         assert pred.cycles == round(pred.cycles, 2)
 
 
+#: A JCC-affected SKL loop whose Predec and Dec bounds tie at 2 cycles.
+TIE_HEX = ("488b8680000000488b1f0f28df4889d94c895500498995000100000f28e2"
+           "75e0")
+
+_TIE_SCRIPT = f"""
+from repro.core.components import ThroughputMode
+from repro.core.model import Facile
+from repro.engine.columnar import ColumnarCore
+from repro.isa.block import BasicBlock
+from repro.uarch import uarch_by_name
+cfg = uarch_by_name("SKL")
+block = BasicBlock.from_bytes(bytes.fromhex("{TIE_HEX}"))
+for predictor in (Facile(cfg), ColumnarCore(cfg)):
+    print(predictor.predict(block, ThroughputMode.LOOP).fe_component)
+"""
+
+
+class TestFrontEndTie:
+    def test_tie_reports_predec(self):
+        pred = Facile(SKL).predict(
+            BasicBlock.from_bytes(bytes.fromhex(TIE_HEX)), L)
+        assert pred.jcc_affected
+        assert pred.bounds[Component.PREDEC] == pred.bounds[Component.DEC]
+        assert pred.fe_component is Component.PREDEC
+
+    def test_tie_is_independent_of_hash_seed(self):
+        # The tie used to be broken by set iteration order, which
+        # follows the string hash seed of each fresh interpreter.
+        import os
+        import subprocess
+        import sys
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            result = subprocess.run(
+                [sys.executable, "-c", _TIE_SCRIPT], env=env,
+                capture_output=True, text=True, check=True)
+            outputs.add(result.stdout)
+        assert outputs == {"Predec\nPredec\n"}
+
+
 class TestAblationVariants:
     def test_exclusion_never_raises_prediction(self, dep_loop):
         full = Facile(SKL).predict(dep_loop, U)

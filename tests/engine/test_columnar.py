@@ -168,6 +168,31 @@ class TestMemoization:
         assert core.predict(blocks[0], ThroughputMode.LOOP) == second
 
 
+class TestPerMicroarchForms:
+    """The per-form dependence tables must be per µarch: SKL and TGL
+    share forms (and representative instructions) but not latencies."""
+
+    def test_two_uarchs_in_one_process(self):
+        suite = BenchmarkSuite.generate(60, seed=29)
+        raws = [block.raw for bench in suite
+                for block in (bench.block_u, bench.block_l)]
+        cfgs = (SKL, uarch_by_name("TGL"))
+        cores = [ColumnarCore(cfg) for cfg in cfgs]
+        references = [Facile(cfg) for cfg in cfgs]
+        differ = 0
+        for raw in raws:
+            for mode in MODES:
+                # Interleaved: each form reaches both cores' tables.
+                got = [core.predict_raw(raw, mode) for core in cores]
+                block = BasicBlock.from_bytes(raw)
+                assert got == [ref.predict(block, mode)
+                               for ref in references]
+                differ += (got[0].bounds[Component.PRECEDENCE]
+                           != got[1].bounds[Component.PRECEDENCE])
+        # The sweep only proves anything if the latencies bite.
+        assert differ >= 10
+
+
 class TestErrors:
     def test_decode_error_propagates_like_from_bytes(self):
         core = ColumnarCore(SKL)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.precedence import precedence_bound
 from repro.graph.depgraph import DependenceGraphBuilder
 from repro.graph.howard import howard_max_cycle_ratio
 from repro.isa.block import BasicBlock
@@ -73,7 +74,8 @@ class TestGraphShape:
     def test_cycle_instruction_extraction(self, db):
         block = BasicBlock.from_asm("imul rax, rbx\nadd rax, rcx\n"
                                     "mov rdx, 5")
-        builder = DependenceGraphBuilder(db)
-        graph = builder.build(block)
+        graph = DependenceGraphBuilder(db).build(block)
         _ratio, cycle = howard_max_cycle_ratio(graph)
-        assert builder.cycle_instructions(cycle) == [0, 1]
+        assert sorted({node[1] for edge in cycle
+                       for node in (edge.src, edge.dst)}) == [0, 1]
+        assert precedence_bound(block, db).critical_chain == [0, 1]

@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph.bruteforce import bruteforce_max_cycle_ratio
 from repro.graph.core import RatioGraph
-from repro.graph.howard import howard_max_cycle_ratio
+from repro.graph.howard import (
+    ZeroIterationCycle,
+    howard_max_cycle_ratio,
+    max_cycle_ratio,
+)
 from repro.graph.lawler import lawler_max_cycle_ratio
 
 
@@ -76,6 +80,51 @@ def random_graphs(draw):
     return make_graph(edges)
 
 
+@st.composite
+def multi_policy_cycle_graphs(draw):
+    """Graphs whose initial policy (each node's first edge) already has
+    several cycles: nodes 2k and 2k+1 point at each other first, so
+    policy iteration must compare and merge ``n / 2`` policy cycles."""
+    n = 2 * draw(st.integers(2, 4))
+    edges = []
+    for u in range(n):
+        edges.append((u, u ^ 1, draw(st.integers(0, 12)), 1))
+    for _ in range(draw(st.integers(n, 3 * n))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1))
+        t = draw(st.integers(0, 1)) if u < v else 1
+        edges.append((u, v, draw(st.integers(0, 12)), t))
+    return make_graph(edges)
+
+
+def initial_policy_cycles(g):
+    """Number of cycles of the policy 'first out-edge of every node'."""
+    _keys, succ = g.indexed()
+    first = {u: out[0][0] for u, out in enumerate(succ) if out}
+    cycles = set()
+    for start in first:
+        seen = []
+        node = start
+        while node in first and node not in seen:
+            seen.append(node)
+            node = first[node]
+        if node in seen:
+            cycles.add(frozenset(seen[seen.index(node):]))
+    return len(cycles)
+
+
+def assert_cycle_attains(g, ratio, cycle):
+    """*cycle* is a closed walk of edges of *g* with ratio *ratio*."""
+    assert cycle
+    for edge, succ in zip(cycle, cycle[1:] + cycle[:1]):
+        assert edge.dst == succ.src
+        assert any(e is edge for e in g.out_edges(edge.src))
+    weight = sum(e.weight for e in cycle)
+    count = sum(e.count for e in cycle)
+    assert count > 0
+    assert Fraction(weight, count) == ratio
+
+
 class TestCrossValidation:
     @given(random_graphs())
     @settings(max_examples=200, deadline=None)
@@ -85,16 +134,57 @@ class TestCrossValidation:
         b = bruteforce_max_cycle_ratio(g)
         assert h == l == b
 
+    @given(multi_policy_cycle_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_several_policy_cycles(self, g):
+        assert initial_policy_cycles(g) >= 2
+        ratio, cycle = howard_max_cycle_ratio(g)
+        assert ratio == lawler_max_cycle_ratio(g) \
+            == bruteforce_max_cycle_ratio(g)
+        assert_cycle_attains(g, ratio, cycle)
+
     @given(random_graphs())
     @settings(max_examples=100, deadline=None)
     def test_critical_cycle_attains_reported_ratio(self, g):
         ratio, cycle = howard_max_cycle_ratio(g)
         if ratio is None:
+            assert cycle == []
             return
-        weight = sum(e.weight for e in cycle)
-        count = sum(e.count for e in cycle)
-        assert count > 0
+        assert_cycle_attains(g, ratio, cycle)
+
+    @given(random_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_integer_solver_matches_adapter(self, g):
+        # The int-indexed solver returns the unreduced (W, C) of the
+        # cycle the RatioGraph front end reports.
+        keys, succ = g.indexed()
+        result = max_cycle_ratio(succ)
+        ratio, cycle = howard_max_cycle_ratio(g)
+        if result is None:
+            assert ratio is None
+            return
+        weight, count, nodes = result
         assert Fraction(weight, count) == ratio
+        assert weight == sum(e.weight for e in cycle)
+        assert count == sum(e.count for e in cycle)
+        assert [keys[u] for u, _pos in nodes] == [e.src for e in cycle]
+
+
+class TestZeroIterationCycle:
+    def test_zero_count_cycle_raises(self):
+        g = make_graph([("a", "b", 3, 0), ("b", "a", 2, 0)])
+        with pytest.raises(ZeroIterationCycle):
+            howard_max_cycle_ratio(g)
+
+    def test_zero_count_self_loop_raises(self):
+        with pytest.raises(ZeroIterationCycle):
+            max_cycle_ratio([[(0, 0, 0)]])
+
+    def test_zero_count_cycle_beside_a_valid_one_raises(self):
+        g = make_graph([("a", "a", 5, 1),
+                        ("b", "c", 1, 0), ("c", "b", 1, 0)])
+        with pytest.raises(ZeroIterationCycle):
+            howard_max_cycle_ratio(g)
 
 
 class TestTarjanScc:
