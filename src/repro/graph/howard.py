@@ -69,12 +69,19 @@ def _solve_scc(out: Sequence[Sequence[Tuple[int, int, int, int]]],
                     raise ZeroIterationCycle(
                         "policy cycle with zero iteration count; the graph "
                         "must not contain intra-iteration cycles")
-                # `node` is the cycle's handle, with bias 0.
-                gain_w[node], gain_c[node] = weight, count
+                # The handle (bias 0) is the cycle's lowest node, so a
+                # cycle that survives an improvement keeps its biases.  A
+                # handle that followed the traversal's entry point could
+                # shift them, and the iteration then alternated forever
+                # between basins of equal gain.
+                h = cycle.index(min(cycle))
+                gain_w[cycle[h]], gain_c[cycle[h]] = weight, count
+                # Rotate the path's cycle to start at the handle, so the
+                # backward pass below meets each node after its successor.
+                path[len(path) - len(cycle):] = cycle[h:] + cycle[:h]
                 if not critical or weight * best_c > best_w * count:
                     best_w, best_c, critical = weight, count, cycle
-            # Back-substitute values along the path, backwards from the
-            # cycle's handle or from the first already-evaluated node.
+            # Back-substitute values backwards along the path.
             for u in reversed(path):
                 if gain_c[u]:
                     continue

@@ -1,9 +1,13 @@
 """Facile combination-logic tests (paper §4.1-4.2)."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import repro
 from repro.core.components import Component, ThroughputMode
 from repro.core.model import Facile
 from repro.isa.block import BasicBlock
@@ -87,15 +91,15 @@ class TestFrontEndTie:
     def test_tie_is_independent_of_hash_seed(self):
         # The tie used to be broken by set iteration order, which
         # follows the string hash seed of each fresh interpreter.
-        import os
-        import subprocess
-        import sys
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
         outputs = set()
         for seed in ("0", "1", "2", "3"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
             result = subprocess.run(
                 [sys.executable, "-c", _TIE_SCRIPT], env=env,
-                capture_output=True, text=True, check=True)
+                capture_output=True, text=True, timeout=120, check=True)
             outputs.add(result.stdout)
         assert outputs == {"Predec\nPredec\n"}
 

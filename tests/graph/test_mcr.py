@@ -1,11 +1,15 @@
 """Maximum-cycle-ratio algorithm tests: Howard vs Lawler vs brute force."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.graph.bruteforce import bruteforce_max_cycle_ratio
 from repro.graph.core import RatioGraph
 from repro.graph.howard import (
@@ -168,6 +172,37 @@ class TestCrossValidation:
         assert weight == sum(e.weight for e in cycle)
         assert count == sum(e.count for e in cycle)
         assert [keys[u] for u, _pos in nodes] == [e.src for e in cycle]
+
+
+#: Two policy cycles of gain 11 whose handles used to follow the
+#: traversal: policy iteration alternated between two policies forever.
+ALTERNATING_EDGES = [
+    (3, 2, 8, 1), (5, 4, 4, 1), (7, 6, 7, 1), (6, 4, 6, 1), (6, 7, 4, 0),
+    (5, 3, 6, 1), (2, 0, 6, 1), (4, 7, 9, 1), (3, 6, 4, 1), (0, 5, 8, 0),
+    (0, 0, 7, 1), (1, 6, 2, 1), (4, 3, 10, 1), (6, 4, 8, 2), (5, 0, 3, 1),
+    (0, 6, 7, 2), (7, 3, 4, 1), (3, 0, 5, 2)]
+
+
+class TestTermination:
+    def test_equal_gain_basins_do_not_alternate(self):
+        # In a child process, so a regression fails on the timeout
+        # instead of hanging the suite.
+        script = ("from repro.graph.core import RatioGraph\n"
+                  "from repro.graph.howard import howard_max_cycle_ratio\n"
+                  "g = RatioGraph()\n"
+                  f"for e in {ALTERNATING_EDGES!r}: g.add_edge(*e)\n"
+                  "print(howard_max_cycle_ratio(g)[0])\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True,
+                                timeout=60, check=True)
+        assert result.stdout == "11\n"
+        g = make_graph(ALTERNATING_EDGES)
+        ratio, cycle = howard_max_cycle_ratio(g)
+        assert ratio == lawler_max_cycle_ratio(g) == 11
+        assert_cycle_attains(g, ratio, cycle)
 
 
 class TestZeroIterationCycle:
